@@ -34,7 +34,7 @@ Examples::
     python -m repro experiment e1 --trials 8 --format json --out results/ci
     python -m repro experiment e10 --jobs 4
     python -m repro experiment e10 --jobs 4 --shard-timeout 60 --max-retries 3
-    python -m repro experiment all --trials 20 --serial
+    python -m repro experiment all --trials 20
     python -m repro experiment all --jobs 4
     python -m repro list --json
     python -m repro serve --store results/repro-store.sqlite3 --port 8765
@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--trials", type=int, default=None,
                        help="override the default trial count "
                             "(same as --set trials=N)")
-    exp_p.add_argument("--serial", action="store_true",
-                       help="disable process parallelism "
-                            "(same as --set parallel=false)")
     exp_p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes for the parallel plan "
                             "backend (same as --set jobs=N); the batched "
@@ -430,18 +427,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise _OverrideError(
                 "conflicting --trials and --set trials=...; pick one"
             )
-        if args.serial and "parallel" in raw:
-            raise _OverrideError(
-                "conflicting --serial and --set parallel=...; pick one"
-            )
         if args.jobs is not None and "jobs" in raw:
             raise _OverrideError(
                 "conflicting --jobs and --set jobs=...; pick one"
             )
         if args.trials is not None:
             raw["trials"] = str(args.trials)
-        if args.serial:
-            raw["parallel"] = "false"
         if args.jobs is not None:
             raw["jobs"] = str(args.jobs)
         # Validate and build every options instance up front, so a bad

@@ -13,10 +13,9 @@ One sharded, multi-core backend behind every fastpath front door:
   backends, worker counts and shard layouts.
 * :mod:`repro.exec.reducers` — shard-order merge of struct-of-arrays
   batch results.
-* :mod:`repro.exec.pool` — the process-pool primitive shared by the
-  ``process`` tier and the parallel backend, plus the parked warm pool
-  reused across runs (and across the experiment service's jobs;
-  ``prewarm``/``warm_pool_stats``).
+* :mod:`repro.exec.pool` — the process pool under the parallel
+  backend: the parked warm pool reused across runs (and across the
+  experiment service's jobs; ``prewarm``/``warm_pool_stats``).
 * :mod:`repro.exec.chaos` — deterministic fault injection (worker
   kills, shard delays, torn archive writes) exercising the recovery
   paths above; see DESIGN.md §10 for the fault-tolerance contract.
@@ -57,7 +56,6 @@ from repro.exec.pool import (
     default_workers,
     mp_context,
     prewarm,
-    run_trials,
     shutdown_warm_pool,
     warm_pool_stats,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "resolve_backend",
     "resolve_engine",
     "run_plan",
-    "run_trials",
     "set_fault_policy",
     "shard_size_hint",
     "shm_enabled",

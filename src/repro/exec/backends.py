@@ -22,10 +22,10 @@
     ``parallel`` when ``jobs > 1``, else ``serial``.
 
 Only the batched tiers shard (:data:`~repro.exec.plan.BATCH_ENGINES`);
-the ``process`` tier keeps its own per-trial pool (``jobs`` caps its
-worker count) and ``agent`` stays inline by design.  A plan whose
-workload is smaller than one stream quantum falls back to serial — the
-engines' block streams cannot be cut finer without changing results.
+the per-trial ``agent`` tier stays inline by design, so this module is
+the only place that starts worker processes.  A plan whose workload is
+smaller than one stream quantum falls back to serial — the engines'
+block streams cannot be cut finer without changing results.
 
 Every run is recorded with the telemetry collector
 (:func:`collect_execution`), which is how experiment metadata learns
@@ -82,7 +82,6 @@ from repro.exec.pool import (
     kill_pool as _kill_pool,
     mp_context,
     release_pool as _release_pool,
-    run_trials,
 )
 from repro.exec.reducers import merge_shards, merge_stubs
 from repro.extensions.async_gossip import (
@@ -100,7 +99,7 @@ from repro.fastpath.batch import (
     simulate_protocol_fast_batch,
 )
 from repro.fastpath.graphs import GraphBatchResult, simulate_graph_fast_batch
-from repro.fastpath.simulate import FastRunResult, simulate_protocol_fast
+from repro.fastpath.simulate import FastRunResult
 from repro.fastpath.strategies import (
     StrategyBatchResult,
     simulate_strategy_fast_batch,
@@ -390,15 +389,11 @@ def run_plan(
     *,
     backend: str = "auto",
     jobs: int | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
     policy: FaultPolicy | None = None,
 ) -> Any:
     """Execute a compiled plan and return its engine's batch result.
 
-    ``parallel``/``max_workers`` are the per-trial tiers' legacy knobs
-    (the ``process`` engine's own pool); ``jobs`` is the plan-level
-    worker count; ``policy`` overrides the process-wide
+    ``jobs`` is the worker count; ``policy`` overrides the process-wide
     :func:`get_fault_policy` for this run.  Results are deterministic
     in the plan alone — no backend, job count, shard layout or fault
     recovery leaks into them.
@@ -421,9 +416,7 @@ def run_plan(
         )
         ran = "parallel" if shards > 1 else "serial"
     else:
-        if plan.engine == "process" and max_workers is None and jobs > 1:
-            max_workers = jobs
-        result = _compute(plan, parallel=parallel, max_workers=max_workers)
+        result = _compute(plan)
         ran = "serial"
     _record(ExecRecord(
         kind=plan.kind, engine=plan.engine, backend=ran, jobs=jobs,
@@ -506,7 +499,7 @@ class _PickleTransport:
         self._results[idx] = value
 
     def degrade(self, idx: int) -> None:
-        self._results[idx] = _compute(self._shard_plans[idx], parallel=False)
+        self._results[idx] = _compute(self._shard_plans[idx])
 
     def finish(self, n_shards: int) -> Any:
         return merge_shards(self._results[i] for i in range(n_shards))
@@ -567,7 +560,7 @@ class _ShmTransport:
         # The serial degradation path writes the shard's slice from the
         # parent itself — same views, same bytes, no pool involved.
         lo, hi = self._bounds[idx]
-        result = _compute(self._shard_plans[idx], parallel=False)
+        result = _compute(self._shard_plans[idx])
         shm_transport.export_batch(result, self._views, lo, hi)
         self._stubs[idx] = shm_transport.scalar_stub(result)
 
@@ -621,7 +614,7 @@ def _compute_shard(
     shard_plan, spec = args
     if spec is not None:
         spec.apply()
-    result = _compute(shard_plan, parallel=False)
+    result = _compute(shard_plan)
     if spec is not None and spec.kill_mid_write:
         spec.die()
     return result
@@ -648,7 +641,7 @@ def _compute_shard_shm(
     )
     if spec is not None:
         spec.apply()
-    result = _compute(shard_plan, parallel=False)
+    result = _compute(shard_plan)
     data = shm_transport.attached("data", data_name)
     views = header["layout"].views(data)
     lo, hi = header["bounds"][shard_index]
@@ -688,7 +681,7 @@ def _run_parallel(
     bounds = shard_bounds(plan.n_trials, plan.shard_quantum, jobs, size=size)
     recovery = _Recovery()
     if len(bounds) <= 1:
-        return _compute(plan, parallel=False), 1, recovery, 1, "inline"
+        return _compute(plan), 1, recovery, 1, "inline"
     shard_plans = [plan.slice(lo, hi) for lo, hi in bounds]
     n_shards = len(bounds)
     workers = min(jobs, n_shards)
@@ -834,20 +827,12 @@ def _run_round(
 # The serial backend: one engine route per workload kind
 # ---------------------------------------------------------------------------
 
-def _compute(
-    plan: ExecutionPlan,
-    *,
-    parallel: bool = True,
-    max_workers: int | None = None,
-) -> Any:
+def _compute(plan: ExecutionPlan) -> Any:
     """Run the whole plan in-process on its engine (the serial backend)."""
-    compute = _COMPUTE[plan.kind]
-    return compute(plan, parallel, max_workers)
+    return _COMPUTE[plan.kind](plan)
 
 
-def _compute_honest(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> FastBatchResult:
+def _compute_honest(plan: ExecutionPlan) -> FastBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
     if plan.engine in ("batch", "batch-parity"):
@@ -857,20 +842,12 @@ def _compute_honest(
             seed_parity=(plan.engine == "batch-parity"),
             max_chunk_elements=opt["max_chunk_elements"],
         )
-    worker = _fast_worker if plan.engine == "process" else _agent_worker
-    runs = run_trials(
-        worker,
-        [(opt["colors"], opt["gamma"], f, s)
-         for f, s in zip(opt["faulty_list"], seeds)],
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
+    runs = [_agent_trial(opt["colors"], opt["gamma"], f, s)
+            for f, s in zip(opt["faulty_list"], seeds)]
     return batch_from_runs(runs, opt["colors"])
 
 
-def _compute_deviation(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> StrategyBatchResult:
+def _compute_deviation(plan: ExecutionPlan) -> StrategyBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
     if plan.engine == "batch-strategy":
@@ -879,17 +856,12 @@ def _compute_deviation(
             gamma=opt["gamma"], faulty=opt["faulty"],
             defenses=opt["defenses"],
         )
-    args = [
-        (opt["colors"], opt["gamma"], opt["strategy"],
-         tuple(sorted(opt["members"])), tuple(sorted(opt["faulty"])),
-         opt["defenses"], s)
+    rows = [
+        _deviation_trial(opt["colors"], opt["gamma"], opt["strategy"],
+                         tuple(sorted(opt["members"])),
+                         tuple(sorted(opt["faulty"])), opt["defenses"], s)
         for s in seeds
     ]
-    rows = run_trials(
-        _deviation_worker, args,
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
     honest_runs = [r[0] for r in rows]
     dev_runs = [r[1] for r in rows]
     return StrategyBatchResult(
@@ -904,9 +876,7 @@ def _compute_deviation(
     )
 
 
-def _compute_graph(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> GraphBatchResult:
+def _compute_graph(plan: ExecutionPlan) -> GraphBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
     csrs = opt["csrs"]
@@ -924,13 +894,9 @@ def _compute_graph(
             faulty=list(opt["faulty_list"]),
             seed_parity=(plan.engine == "batch-parity"),
         )
-    rows = run_trials(
-        _graph_agent_worker,
-        [(c, opt["colors"], opt["gamma"], tuple(sorted(f)), s)
-         for c, f, s in zip(csrs, opt["faulty_list"], seeds)],
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
+    rows = [_graph_agent_trial(c, opt["colors"], opt["gamma"],
+                               tuple(sorted(f)), s)
+            for c, f, s in zip(csrs, opt["faulty_list"], seeds)]
     cols = list(zip(*rows)) if rows else [[]] * 7
     return GraphBatchResult(
         n=len(opt["colors"]),
@@ -946,9 +912,7 @@ def _compute_graph(
     )
 
 
-def _compute_async(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> AsyncBatchResult:
+def _compute_async(plan: ExecutionPlan) -> AsyncBatchResult:
     opt = plan.options
     n = opt["n"]
     seeds = list(plan.seeds)
@@ -970,12 +934,8 @@ def _compute_async(
             election_converged=conv, election_winner=winner,
             election_ticks=eticks,
         )
-    rows = run_trials(
-        _async_agent_worker,
-        [(n, opt["colors"], opt["tick_budget_factor"], s) for s in seeds],
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
+    rows = [_async_agent_trial(n, opt["colors"], opt["tick_budget_factor"], s)
+            for s in seeds]
     cols = list(zip(*rows)) if rows else [[]] * 4
     return AsyncBatchResult(
         n=n,
@@ -996,21 +956,13 @@ _COMPUTE = {
 
 
 # ---------------------------------------------------------------------------
-# Per-trial engine workers (module-level: pool workers must pickle)
+# Per-trial agent-engine trials (the inline ``agent`` tier)
 # ---------------------------------------------------------------------------
 
-def _fast_worker(
-    args: tuple[tuple[Hashable, ...], float, frozenset[int], int]
+def _agent_trial(
+    colors: tuple[Hashable, ...], gamma: float, faulty: frozenset[int],
+    seed: int,
 ) -> FastRunResult:
-    colors, gamma, faulty, seed = args
-    return simulate_protocol_fast(colors, gamma=gamma, faulty=faulty,
-                                  seed=seed)
-
-
-def _agent_worker(
-    args: tuple[tuple[Hashable, ...], float, frozenset[int], int]
-) -> FastRunResult:
-    colors, gamma, faulty, seed = args
     res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty, seed=seed,
     ))
@@ -1073,12 +1025,12 @@ def _run_result_to_fast(
     )
 
 
-def _deviation_worker(
-    args: tuple[tuple[Hashable, ...], float, str | None, tuple[int, ...],
-                tuple[int, ...], Defenses, int]
+def _deviation_trial(
+    colors: tuple[Hashable, ...], gamma: float, strategy: str | None,
+    members: tuple[int, ...], faulty: tuple[int, ...], defenses: Defenses,
+    seed: int,
 ) -> tuple[FastRunResult, FastRunResult, bool, bool, bool, int]:
     """One paired (honest, deviant) agent-engine trial."""
-    colors, gamma, strategy, members, faulty, defenses, seed = args
     faulty_set = frozenset(faulty)
     honest_res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty_set, seed=seed,
@@ -1116,13 +1068,13 @@ def _deviation_worker(
     )
 
 
-def _graph_agent_worker(
-    args: tuple[GraphCSR, tuple[Hashable, ...], float, tuple[int, ...], int]
+def _graph_agent_trial(
+    csr: GraphCSR, colors: tuple[Hashable, ...], gamma: float,
+    faulty: tuple[int, ...], seed: int,
 ) -> tuple[int, bool, int, int, int, bool, int]:
     """One per-agent graph trial, packed into the batch record shape."""
     from repro.extensions.topologies import run_graph_protocol
 
-    csr, colors, gamma, faulty, seed = args
     res = run_graph_protocol(
         csr.to_networkx(), colors, gamma=gamma, seed=seed,
         faulty=frozenset(faulty),
@@ -1139,10 +1091,9 @@ def _graph_agent_worker(
     )
 
 
-def _async_agent_worker(
-    args: tuple[int, tuple[Hashable, ...], float, int]
+def _async_agent_trial(
+    n: int, colors: tuple[Hashable, ...], factor: float, seed: int,
 ) -> tuple[int, bool, int, int]:
-    n, colors, factor, seed = args
     ticks = int(async_min_ticks(async_minagg_values(n, seed), seed=seed))
     el = run_async_leader_election(
         colors, seed=seed, tick_budget_factor=factor

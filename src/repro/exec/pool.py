@@ -1,15 +1,11 @@
-"""Process-pool trial execution (the per-trial fan-out primitive).
+"""The process pool under the parallel plan backend.
 
-Monte-Carlo experiments run hundreds of independent simulations; this
-module fans them out over processes (simulations are CPU-bound pure
-Python/NumPy, so threads would serialise on the GIL — the standard HPC
-recipe here is process-level parallelism over trials).
-
-Workers must be module-level callables (pickling), and every trial gets
-its seed explicitly — results are independent of worker count and
-scheduling order.  This is the primitive under both the ``process``
-engine tier (one task per trial) and the parallel plan backend (one
-task per trial *shard*, :mod:`repro.exec.backends`).
+Monte-Carlo experiments run hundreds of independent simulations, which
+are CPU-bound pure Python/NumPy — threads would serialise on the GIL,
+so the parallel backend (:mod:`repro.exec.backends`) fans trial
+*shards* out over processes.  This module owns those processes: the
+multiprocessing context, the worker count, and one parked warm pool
+reused across plan executions.
 """
 
 from __future__ import annotations
@@ -18,8 +14,7 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from concurrent.futures import ProcessPoolExecutor, wait
 
 __all__ = [
     "acquire_pool",
@@ -29,13 +24,9 @@ __all__ = [
     "mp_context",
     "prewarm",
     "release_pool",
-    "run_trials",
     "shutdown_warm_pool",
     "warm_pool_stats",
 ]
-
-T = TypeVar("T")
-A = TypeVar("A")
 
 
 def available_cpus() -> int:
@@ -191,12 +182,27 @@ def release_pool(pool: ProcessPoolExecutor, workers: int) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def prewarm(workers: int | None = None) -> int:
-    """Park a freshly spawned pool of ``workers`` ahead of first use.
+def _start_workers(pool: ProcessPoolExecutor, workers: int) -> None:
+    """Block until ``pool`` has ``workers`` live worker processes.
 
-    Idempotent: an already-parked pool of the right width is kept.  A
-    parked pool of a *different* width is replaced (the next acquirer
-    would kill it anyway).  Returns the parked width.
+    ``ProcessPoolExecutor`` spawns lazily: a submit that finds no idle
+    worker starts one, so a fresh pool has no processes at all.  Submit
+    no-op tasks until every worker has been started, then wait for the
+    tasks so each worker is up and serving.
+    """
+    tasks = []
+    while len(pool._processes) < workers:
+        tasks.append(pool.submit(os.getpid))
+    wait(tasks)
+
+
+def prewarm(workers: int | None = None) -> int:
+    """Park a pool of ``workers`` live processes ahead of first use.
+
+    Returns once every worker has started, so the first parallel run
+    pays no spawn.  Idempotent: an already-parked pool of the right
+    width is kept.  A parked pool of a *different* width is replaced
+    (the next acquirer would kill it anyway).  Returns the parked width.
     """
     workers = default_workers() if workers is None else int(workers)
     if workers < 1:
@@ -210,6 +216,7 @@ def prewarm(workers: int | None = None) -> int:
     if stale is not None:
         kill_pool(stale)
     pool = _new_pool(workers)
+    _start_workers(pool, workers)
     _pool_counters["prewarmed"] += 1
     release_pool(pool, workers)
     return workers
@@ -235,35 +242,3 @@ def warm_pool_stats() -> dict[str, object]:
 
 
 atexit.register(shutdown_warm_pool)
-
-
-def run_trials(
-    worker: Callable[[A], T],
-    args: Sequence[A] | Iterable[A],
-    *,
-    parallel: bool = True,
-    max_workers: int | None = None,
-    chunksize: int | None = None,
-) -> list[T]:
-    """Run ``worker`` over every element of ``args``; order-preserving.
-
-    ``parallel=False`` (or a single work item) executes inline, which is
-    also the debugger-friendly path.
-    """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(
-            f"max_workers must be >= 1, got {max_workers} "
-            "(pass None for the machine default)"
-        )
-    args = list(args)
-    if not args:
-        return []
-    if not parallel or len(args) == 1:
-        return [worker(a) for a in args]
-    workers = max_workers if max_workers is not None else default_workers()
-    if workers <= 1:
-        return [worker(a) for a in args]
-    if chunksize is None:
-        chunksize = max(1, len(args) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context()) as pool:
-        return list(pool.map(worker, args, chunksize=chunksize))

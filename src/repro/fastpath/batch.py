@@ -227,7 +227,7 @@ class FastBatchResult:
     # -- sentinel-aware reducers -------------------------------------------
     # ``find_min_rounds`` and ``min_commitment_pulls_received`` use -1 as
     # a sentinel: "Find-Min never converged" in the fastpath engines, and
-    # "not observed" on the agent-engine route (``dispatch._agent_worker``).
+    # "not observed" on the agent-engine route (``backends._agent_trial``).
     # Plain means/mins over those columns silently absorb the sentinels;
     # every aggregate consumer should reduce through these instead.
 

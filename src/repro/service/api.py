@@ -101,6 +101,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.verbose:
             super().log_message(fmt, *args)
 
+    def finish(self) -> None:
+        # Each client connection runs on its own thread; drop the sqlite
+        # connection the store opened for it once the client is done.
+        try:
+            super().finish()
+        finally:
+            self.service.store.release_connection()
+
     def _reply(self, status: int, doc: Any) -> None:
         data = (json.dumps(doc) + "\n").encode("utf-8")
         self.send_response(status)

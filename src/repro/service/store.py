@@ -183,6 +183,22 @@ class ResultStore:
                 self._connections.append(conn)
         return conn
 
+    def release_connection(self) -> None:
+        """Close the calling thread's connection, if it opened one.
+
+        For short-lived threads (the HTTP server's one thread per
+        client): without this, every finished thread's connection stays
+        open until :meth:`close`.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        self._local.conn = None
+        with self._lock:
+            if conn in self._connections:  # not already closed by close()
+                self._connections.remove(conn)
+        conn.close()
+
     def close(self) -> None:
         """Close every thread's connection (idempotent)."""
         with self._lock:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from golden_opts import GOLDEN_OPTS
 from repro.cli import build_parser, main
-from repro.experiments.registry import experiment_names
+from repro.experiments import registry
+from repro.experiments.registry import experiment, experiment_names
 from repro.results import load_result
 
 
@@ -77,14 +79,14 @@ class TestRunCommand:
 
 class TestExperimentCommand:
     def test_e1_tiny(self, capsys):
-        rc = main(["experiment", "e1", "--trials", "30", "--serial"])
+        rc = main(["experiment", "e1", "--trials", "30"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Fairness" in out
         assert "balanced" in out
 
     def test_e4_prints_two_tables(self, capsys):
-        rc = main(["experiment", "e4", "--trials", "3", "--serial"])
+        rc = main(["experiment", "e4", "--trials", "3"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Communication" in out
@@ -167,20 +169,38 @@ class TestOverrideValidation:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
-    def test_bad_bool_exits_2(self, capsys):
+    def test_retired_parallel_field_is_unknown(self, capsys):
         rc = main(["experiment", "e1", "--set", "parallel=maybe"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown option field 'parallel'" in err
+        assert "valid fields: sizes" in err
+
+    def test_bad_bool_exits_2(self, monkeypatch, capsys):
+        # No registered experiment has a bool option; register one
+        # into throwaway copies of the registry tables.
+        @dataclasses.dataclass(frozen=True)
+        class FlagOptions:
+            flag: bool = False
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        monkeypatch.setattr(registry, "_MODULE_BY_NAME",
+                            {**registry._MODULE_BY_NAME, "zz_flag": __name__})
+        experiment("zz_flag", options=FlagOptions, title="flag",
+                   claim="none")(lambda opts: None)
+        rc = main(["experiment", "zz_flag", "--set", "flag=maybe"])
         assert rc == 2
         assert "boolean" in capsys.readouterr().err
 
     def test_sequence_coercion(self, capsys):
-        rc = main(["experiment", "e1", "--format", "json", "--serial",
+        rc = main(["experiment", "e1", "--format", "json",
                    "--set", "sizes=16,24", "--set", "workloads=balanced",
                    "--set", "trials=4"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["options"]["sizes"] == [16, 24]
         assert doc["options"]["workloads"] == ["balanced"]
-        assert doc["options"]["parallel"] is False
+        assert "parallel" not in doc["options"]
 
 
 class TestExperimentAll:
@@ -194,7 +214,7 @@ class TestExperimentAll:
         })
         rc = main(["experiment", "all", "--format", "json",
                    "--set", "sizes=16,24", "--set", "workloads=balanced",
-                   "--set", "trials=4", "--serial"])
+                   "--set", "trials=4"])
         captured = capsys.readouterr()
         assert rc == 0
         docs, idx, dec = [], 0, json.JSONDecoder()

@@ -37,7 +37,6 @@ from repro.exec import (
     merge_shards,
     resolve_backend,
     run_plan,
-    run_trials,
     set_fault_policy,
 )
 from repro.exec import chaos
@@ -122,11 +121,6 @@ class TestPoolGuards:
         monkeypatch.setattr("repro.exec.pool.os.cpu_count", lambda: 8)
         assert available_cpus() == 8
         assert default_workers() == 6
-
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_run_trials_rejects_nonpositive_workers(self, bad):
-        with pytest.raises(ValueError, match="max_workers"):
-            run_trials(abs, [1, 2], max_workers=bad)
 
     @pytest.mark.parametrize("bad", [0, -2])
     def test_resolve_backend_rejects_nonpositive_jobs(self, bad):
@@ -266,7 +260,7 @@ class TestReducerDiagnostics:
 class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
         result = run_experiment("e1", sizes=(16,), workloads=("balanced",),
-                                trials=4, parallel=False)
+                                trials=4)
         save_result(result, tmp_path, formats=("json", "jsonl", "csv", "txt"))
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
         assert leftovers == []
@@ -511,14 +505,14 @@ class TestRecoveryTelemetry:
         ):
             result = run_experiment(
                 "e1", sizes=(16,), workloads=("balanced",), trials=8,
-                engine="batch-parity", parallel=False, jobs=2,
+                engine="batch-parity", jobs=2,
             )
         assert result.meta.backend == "parallel"
         assert result.meta.retries > 0
         assert result.meta.shard_failures > 0
         clean = run_experiment(
             "e1", sizes=(16,), workloads=("balanced",), trials=8,
-            engine="batch-parity", parallel=False, jobs=1,
+            engine="batch-parity", jobs=1,
         )
         assert clean.meta.retries == 0
         assert result.payload_json() == clean.payload_json()
@@ -530,7 +524,7 @@ class TestRecoveryTelemetry:
 
 def _tiny_study() -> Study:
     return Study("e1", {"gamma": [2.0, 3.0]}, trials=6, sizes=(16,),
-                 workloads=("balanced",), parallel=False)
+                 workloads=("balanced",))
 
 
 class TestStudyRecovery:
@@ -616,7 +610,7 @@ class TestStudyRecovery:
         re-runs exactly the incomplete cells and reproduces the
         uninterrupted payloads."""
         study = Study("e1", {"gamma": [1.5, 2.0, 3.0]}, trials=6,
-                      sizes=(16,), workloads=("balanced",), parallel=False)
+                      sizes=(16,), workloads=("balanced",))
         pristine = study.run(out_dir=tmp_path / "pristine")
         crash_dir = tmp_path / "crashed"
         study.run(out_dir=crash_dir)
@@ -637,8 +631,7 @@ class TestStudyRecovery:
 
     def test_study_jobs2_under_chaos_matches_clean_jobs1(self, tmp_path):
         study = Study("e10", {"trials": [4, 6]}, n=24,
-                      scenarios=("complete",), async_sizes=(16,),
-                      parallel=False)
+                      scenarios=("complete",), async_sizes=(16,))
         clean = study.run(out_dir=tmp_path / "clean", jobs=1)
         cfg = chaos.ChaosConfig(seed=16, kill_rate=0.6, delay_rate=0.3,
                                 delay_s=0.1, max_faulty_attempts=1)
@@ -658,7 +651,7 @@ _SIGKILL_CHILD = textwrap.dedent("""
     import sys
     from repro.study import Study
     Study("e1", {"gamma": [1.5, 2.0, 3.0, 4.0]}, trials=6, sizes=(16,),
-          workloads=("balanced",), parallel=False).run(out_dir=sys.argv[1])
+          workloads=("balanced",)).run(out_dir=sys.argv[1])
     print("STUDY-COMPLETE", flush=True)
 """)
 
@@ -709,7 +702,7 @@ class TestProcessLevelFaults:
         proc.kill()  # SIGKILL — no cleanup handlers run
         proc.wait(timeout=60)
         study = Study("e1", {"gamma": [1.5, 2.0, 3.0, 4.0]}, trials=6,
-                      sizes=(16,), workloads=("balanced",), parallel=False)
+                      sizes=(16,), workloads=("balanced",))
         resumed = study.run(out_dir=out)
         pristine = study.run(out_dir=tmp_path / "pristine")
         payloads = lambda sr: [c.result.payload_json() for c in sr.cells]
@@ -750,7 +743,7 @@ class TestCliFaultFlags:
     def test_flags_accepted(self, capsys):
         rc = cli_main([
             "experiment", "e1", "--trials", "4", "--set", "sizes=16",
-            "--set", "workloads=balanced", "--serial",
+            "--set", "workloads=balanced",
             "--shard-timeout", "30", "--max-retries", "1",
             "--format", "json",
         ])
@@ -798,9 +791,9 @@ class TestChaosSweep:
 
     @pytest.mark.parametrize("name,opts", [
         ("e1", dict(sizes=(16,), workloads=("balanced", "skewed"),
-                    trials=10, engine="batch-parity", parallel=False)),
+                    trials=10, engine="batch-parity")),
         ("e10", dict(n=24, trials=6, scenarios=("complete", "star"),
-                     async_sizes=(16, 32), parallel=False)),
+                     async_sizes=(16, 32))),
     ])
     def test_experiment_payloads_survive_chaos(self, name, opts):
         cfg = chaos.ChaosConfig.from_env()
@@ -814,8 +807,7 @@ class TestChaosSweep:
 
     def test_multi_seed_chaos_storm(self, tmp_path):
         study = Study("e10", {"trials": [4, 6]}, n=24,
-                      scenarios=("complete",), async_sizes=(16,),
-                      parallel=False)
+                      scenarios=("complete",), async_sizes=(16,))
         clean = study.run(out_dir=tmp_path / "clean", jobs=1)
         payloads = lambda sr: [c.result.payload_json() for c in sr.cells]
         for seed in (21, 22, 23):

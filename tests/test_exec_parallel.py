@@ -36,6 +36,7 @@ from repro.exec import (
     resolve_backend,
     resolve_engine,
 )
+from repro.exec import pool as exec_pool
 from repro.exec.backends import shard_bounds
 from repro.exec.plan import shard_size_hint
 from repro.experiments.dispatch import (
@@ -182,7 +183,7 @@ class TestBackends:
     def test_per_trial_engines_stay_serial_backend(self):
         with collect_execution() as records:
             run_trials_fast(balanced(16), range(3), engine="agent",
-                            backend="parallel", jobs=4, parallel=False)
+                            backend="parallel", jobs=4)
         (rec,) = records
         assert rec.backend == "serial"  # agent tier is inline by design
 
@@ -398,6 +399,33 @@ class TestTransports:
 
 
 # ---------------------------------------------------------------------------
+# The parked warm pool
+# ---------------------------------------------------------------------------
+
+class TestWarmPool:
+    def test_prewarm_starts_its_workers(self):
+        """``ProcessPoolExecutor`` spawns lazily; ``prewarm`` must not
+        return before the parked pool's workers are running."""
+        exec_pool.shutdown_warm_pool()
+        try:
+            before = exec_pool.warm_pool_stats()["prewarmed"]
+            assert exec_pool.prewarm(2) == 2
+            workers = list(exec_pool._warm_pool._processes.values())
+            assert len(workers) == 2
+            assert all(w.is_alive() for w in workers)
+            stats = exec_pool.warm_pool_stats()
+            assert stats["parked"] and stats["workers"] == 2
+            assert stats["prewarmed"] == before + 1
+        finally:
+            exec_pool.shutdown_warm_pool()
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_prewarm_rejects_nonpositive_workers(self, bad):
+        with pytest.raises(ValueError, match="workers"):
+            exec_pool.prewarm(bad)
+
+
+# ---------------------------------------------------------------------------
 # Shard-size auto-tuning
 # ---------------------------------------------------------------------------
 
@@ -441,12 +469,11 @@ class TestShardTuning:
 
 #: One experiment per front door, at golden-scale options.
 _PAYLOAD_CASES = {
-    "e1": dict(sizes=(16,), workloads=("balanced", "skewed"), trials=8,
-               parallel=False),
+    "e1": dict(sizes=(16,), workloads=("balanced", "skewed"), trials=8),
     "e7": dict(n=16, strategies=("silent", "underbid_alter"),
-               coalition_sizes=(1,), trials=8, parallel=False),
+               coalition_sizes=(1,), trials=8),
     "e10": dict(n=24, trials=6, scenarios=("complete", "star"),
-                async_sizes=(16,), parallel=False),
+                async_sizes=(16,)),
 }
 
 

@@ -50,8 +50,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
 from repro.util.tables import Table
 
-E1_TINY = dict(sizes=(16,), workloads=("balanced",), trials=6, seed=11,
-               parallel=False)
+E1_TINY = dict(sizes=(16,), workloads=("balanced",), trials=6, seed=11)
 
 
 def tiny_e1(**overrides):
@@ -447,6 +446,23 @@ class TestServiceHTTP:
             retry = client.submit("zz_stub", {"seed": 3})
             assert retry["status"] in ("queued", "running")
             client.wait(retry)
+
+    def test_handler_threads_release_sqlite_connections(self, service,
+                                                        stub):
+        """Each client connection runs on its own handler thread; the
+        sqlite connection the store opens for it must close with it, so
+        N requests leave a bounded number of connections open."""
+        service.store.put(run_experiment("zz_stub", seed=3))
+        client = ServiceClient(service.url)
+        for _ in range(60):
+            assert client.submit("zz_stub", {"seed": 3})["cached"] is True
+        # finish() runs just after the reply is sent; let it land.
+        deadline = time.monotonic() + 5.0
+        while len(service.store._connections) > 2 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # This thread's connection and the daemon's remain.
+        assert len(service.store._connections) <= 2
 
     def test_bad_submissions_reply_400(self, service):
         client = ServiceClient(service.url)
