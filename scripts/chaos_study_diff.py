@@ -3,14 +3,15 @@
 
 Runs one multi-cell :class:`repro.study.Study` three ways —
 
-1. uninterrupted at ``jobs=1`` (the reference archive),
-2. in a child process that is SIGKILLed after its first cell completes,
-   then resumed in-process (only incomplete cells re-run),
-3. the resumed archive again (everything must now load from cache),
+1. uninterrupted at ``jobs=1`` (the reference store),
+2. in a child process that is SIGKILLed after its first cell commits to
+   the result store, then resumed in-process (only cells without a
+   committed row re-run),
+3. the resumed store again (everything must now load from cache),
 
 — and diffs the per-cell payload bytes (``payload_json``, metadata
 stripped) across all three.  Any mismatch, or a resume that recomputes
-an already-journaled cell, fails the job.
+a cell committed before the kill, fails the job.
 
 Usage::
 
@@ -21,6 +22,7 @@ Exit status 0 on success, 1 on any divergence.
 
 from __future__ import annotations
 
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -31,7 +33,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.study import Study, StudyJournal  # noqa: E402
+from repro.service.store import STORE_FILENAME  # noqa: E402
+from repro.study import Study  # noqa: E402
 
 # batch-parity at these sizes makes each cell ~0.5 s, so the SIGKILL
 # genuinely lands mid-sweep instead of after the study already finished.
@@ -52,10 +55,24 @@ def _payloads(study_result) -> list[str]:
     return [cell.result.payload_json() for cell in study_result.cells]
 
 
-def _run_and_kill(out_dir: Path) -> int:
-    """Start the study in a child, SIGKILL it after >=1 journaled cell.
+def _committed_rows(db: Path) -> int:
+    """Rows committed to the store, read without opening it for writing."""
+    if not db.is_file():
+        return 0
+    try:
+        conn = sqlite3.connect(f"{db.as_uri()}?mode=ro", uri=True)
+        try:
+            return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+        finally:
+            conn.close()
+    except sqlite3.OperationalError:  # schema not created yet
+        return 0
 
-    Returns the number of cells the child completed before the kill.
+
+def _run_and_kill(out_dir: Path) -> int:
+    """Start the study in a child, SIGKILL it after >=1 committed row.
+
+    Returns the number of rows the child committed before the kill.
     """
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, str(out_dir)],
@@ -63,15 +80,12 @@ def _run_and_kill(out_dir: Path) -> int:
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    journal = StudyJournal.for_study(out_dir, "e1")
+    db = out_dir / STORE_FILENAME
     deadline = time.monotonic() + 300
     done = 0
     while time.monotonic() < deadline:
-        if journal.path.is_file():
-            done = len(journal.done_keys())
-            if done >= 1:
-                break
-        if proc.poll() is not None:
+        done = _committed_rows(db)
+        if done >= 1 or proc.poll() is not None:
             break
         time.sleep(0.02)
     proc.kill()
@@ -95,26 +109,27 @@ def main(argv: list[str]) -> int:
 
     killed_dir = work / "killed"
     done_before_kill = _run_and_kill(killed_dir)
-    print(f"child SIGKILLed after {done_before_kill} journaled cell(s)")
+    print(f"child SIGKILLed after {done_before_kill} committed cell(s)")
 
     resumed = Study("e1", GRID, **BASE).run(out_dir=killed_dir)
     cached = sum(cell.cached for cell in resumed.cells)
     print(f"resume: {cached} cell(s) loaded from cache, "
-          f"{len(resumed.cells) - cached} recomputed, "
-          f"{len(resumed.quarantined)} quarantined")
+          f"{len(resumed.cells) - cached} recomputed")
 
     failures = []
+    if done_before_kill < 1:
+        failures.append("child committed no cell before the kill")
     if _payloads(resumed) != ref_payloads:
         failures.append("resumed payloads differ from uninterrupted run")
     if cached < done_before_kill:
         failures.append(
-            f"resume recomputed journaled cells "
-            f"(journal had {done_before_kill}, cache served {cached})"
+            f"resume recomputed committed cells "
+            f"(store had {done_before_kill}, cache served {cached})"
         )
 
     rerun = Study("e1", GRID, **BASE).run(out_dir=killed_dir)
     if not all(cell.cached for cell in rerun.cells):
-        failures.append("post-resume archive is not fully cached")
+        failures.append("post-resume store is not fully cached")
     if _payloads(rerun) != ref_payloads:
         failures.append("post-resume cached payloads differ")
 
@@ -122,7 +137,7 @@ def main(argv: list[str]) -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("OK: killed-and-resumed archive is byte-identical "
+    print("OK: killed-and-resumed study is byte-identical "
           "to the uninterrupted run")
     return 0
 

@@ -19,8 +19,8 @@ The ``experiment`` subcommand is registry-driven
 options dataclass can be overridden with ``--set field=value`` (values
 are coerced to the field's declared type; comma-separate sequence
 elements), results render as text tables or serialise as JSON/CSV, and
-``--out DIR`` archives the structured result under its content-hash
-resume key (see :mod:`repro.results`).  ``submit`` shares the ``--set``
+``--out DIR`` exports the structured result as
+``<experiment>-<key>.json`` (see :mod:`repro.results`).  ``submit`` shares the ``--set``
 machinery: the same overrides, coerced the same way, produce the same
 content-hash key — so a cell computed by the daemon and one computed
 locally dedup against each other.
@@ -140,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table",
                        help="output format on stdout (default: table)")
     exp_p.add_argument("--out", type=Path, default=None, metavar="DIR",
-                       help="also archive the structured result (JSON, "
-                            "plus CSV with --format csv) under DIR, "
-                            "keyed by content hash")
+                       help="also export the structured result (JSON, "
+                            "plus CSV with --format csv) into DIR, "
+                            "named by content hash")
 
     list_p = sub.add_parser(
         "list", help="show strategies, workloads, experiments")
@@ -589,14 +589,12 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.service.store import ResultStore
+    from repro.service.store import ResultStore, locate_store
 
     if not args.tree.is_dir():
         print(f"error: {args.tree} is not a directory", file=sys.stderr)
         return 2
-    target = args.store if args.store is not None else None
-    with (ResultStore(target) if target is not None
-          else ResultStore.for_dir(args.tree)) as store:
+    with ResultStore(args.store or locate_store(args.tree)) as store:
         report = store.import_tree(args.tree)
         print(f"migrated {args.tree} -> {store.path}: {report.summary()}")
         for name in report.corrupt_files:
@@ -672,7 +670,7 @@ def _store_listing(store_path: Path) -> dict[str, Any] | None:
     from repro.service.store import ResultStore, locate_store
 
     db = locate_store(store_path)
-    if db is None or not db.is_file():
+    if not db.is_file():
         return None
     with ResultStore(db) as store:
         return store.stats()

@@ -2,13 +2,13 @@
 
 The fault-tolerance machinery in :mod:`repro.exec.backends` (shard
 retry, pool respawn, timeout recovery, serial degradation) and the
-crash-safe persistence in :mod:`repro.results`/:mod:`repro.study` are
-only trustworthy if they are *exercised* — this module is the harness
+crash-safe workload cache in :mod:`repro.workloads.cache` are only
+trustworthy if they are *exercised* — this module is the harness
 that exercises them from ordinary pytest tests and the CI chaos job.
 
 A :class:`ChaosConfig` is a pure description of a fault schedule: every
-decision ("does shard 3's first attempt get killed?", "is this archive
-write truncated?") is a SHA-256 hash of the chaos seed and the
+decision ("does shard 3's first attempt get killed?", "is this
+artifact write truncated?") is a SHA-256 hash of the chaos seed and the
 injection site, so a given config injects *exactly* the same faults on
 every run, on every machine — chaos runs are as reproducible as the
 experiments they disturb.
@@ -27,14 +27,14 @@ Three injection sites:
     chaos at all — it is the trusted fallback.
 
 ``truncates(name)``
-    Consulted after an archive file is (atomically) published: a hit
-    truncates the *final* file to half its bytes, simulating the torn
-    write a crash mid-write would have left behind a non-atomic writer
-    (or a corrupted disk).  Resume paths must quarantine and recompute
-    such files, never crash on them.
+    Consulted after a workload artifact is (atomically) published: a
+    hit truncates its *final* manifest to half its bytes, simulating
+    the torn write a crash mid-write would have left behind a
+    non-atomic writer (or a corrupted disk).  The cache must quarantine
+    and resample such artifacts, never crash on them.
 
 Activation is explicit and scoped: :func:`install` sets the active
-config for a ``with`` block (the backend and the archive writers check
+config for a ``with`` block (the backend and the workload cache check
 :func:`active_config`).  Nothing is injected unless a config is
 installed — ``REPRO_CHAOS=1`` does not silently fault ordinary runs;
 it gates the heavier chaos *tests* (:func:`chaos_enabled`) and

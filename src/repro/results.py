@@ -13,11 +13,14 @@ Persistence model
 -----------------
 A result is addressed by its **content-hash key**:
 ``result_key(experiment, options)`` — a SHA-256 prefix of the canonical
-JSON of the (experiment name, options) pair.  ``save_result`` writes
-``<experiment>-<key>.json`` into an output directory; anything that can
-re-derive the options (a :class:`repro.study.Study` resuming a sweep,
-the CLI re-running a cell) checks for that file first and loads instead
-of re-running.  See DESIGN.md §7 for the schema and resume semantics.
+JSON of the (experiment name, options) pair.  Resume goes through one
+index, the sqlite :class:`repro.service.store.ResultStore`, keyed by
+that hash; a :class:`repro.study.Study` looks each cell up there before
+running it.  ``save_result`` writes ``<experiment>-<key>.json`` (and
+JSONL/CSV/text) into a directory as an *export*: nothing reads those
+files back to skip work, and ``repro migrate-archive DIR`` imports a
+legacy loose tree into the store.  See DESIGN.md §7 for the schema and
+resume semantics.
 
 Cell values are normalised to JSON-native scalars (``None``/bool/int/
 float/str; NumPy scalars via ``.item()``, anything else via ``str``) at
@@ -29,10 +32,7 @@ Crash safety
 Every writer publishes atomically: the document is written to a
 same-directory temp file, fsynced, and renamed over the destination
 (:func:`atomic_write_text`).  A SIGKILL mid-write therefore leaves
-either the previous version or nothing — never a truncated archive
-that a later resume would have to guess about.  (Resume paths still
-quarantine corrupt files defensively — pre-1.4 archives and bad disks
-exist; see :meth:`repro.study.Study.run` and DESIGN.md §10.)
+either the previous version or nothing — never a truncated file.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ __all__ = [
     "atomic_write_text",
     "build_meta",
     "canonical_json",
-    "find_result",
     "load_result",
     "result_key",
-    "result_path",
     "save_result",
     "write_csv",
     "write_json",
@@ -378,9 +376,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     any point leaves either the complete new document or the previous
     state of ``path`` — never a truncated file.  (The rename is atomic
     on POSIX; temp files are pid-suffixed so concurrent writers cannot
-    collide.)  Under an installed chaos config the *published* file may
-    then be deliberately torn, exercising the quarantine paths that
-    guard against pre-atomic archives and disk corruption.
+    collide.)
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
@@ -392,22 +388,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    _chaos_tear(path)
     return path
-
-
-def _chaos_tear(path: Path) -> None:
-    """Fault injection: truncate a just-published archive to half.
-
-    Active only inside :func:`repro.exec.chaos.install` blocks (the
-    import is deferred — nothing here runs on ordinary saves).
-    """
-    from repro.exec import chaos  # deferred: results has no exec dependency
-
-    cfg = chaos.active_config()
-    if cfg is not None and cfg.truncates(path.name):
-        data = path.read_text()
-        path.write_text(data[: len(data) // 2])
 
 
 def write_json(result: ExperimentResult, path: str | Path) -> Path:
@@ -496,45 +477,6 @@ def save_result(
 def load_result(path: str | Path) -> ExperimentResult:
     """Load a result saved by :func:`write_json`/:func:`save_result`."""
     return ExperimentResult.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def result_path(
-    out_dir: str | Path, experiment: str, options: Mapping[str, Any]
-) -> Path:
-    """Where :func:`save_result` puts an (experiment, options) cell."""
-    return (
-        Path(out_dir) / f"{experiment}-{result_key(experiment, options)}.json"
-    )
-
-
-def find_result(
-    out_dir: str | Path, experiment: str, options: Mapping[str, Any]
-) -> ExperimentResult | None:
-    """The saved result of an (experiment, options) cell, if present.
-
-    This is the resume primitive: compute the content-hash key and load
-    the stored cell instead of re-running.  When ``out_dir`` is (or
-    contains) a :class:`repro.service.store.ResultStore` database, the
-    store answers first; otherwise — and on a store miss — the loose
-    ``<experiment>-<key>.json`` file is consulted.  Returns ``None``
-    when the cell has not been computed (or was saved elsewhere); a
-    file that exists but cannot be parsed raises — resume paths decide
-    whether to quarantine it (:meth:`repro.study.Study.run` does).
-    """
-    key = result_key(experiment, options)
-    from repro.service.store import find_stored  # deferred: no sqlite cost
-                                                 # on the loose-JSON path
-
-    stored = find_stored(out_dir, key)
-    if stored is not None:
-        return stored
-    path = Path(out_dir)
-    if path.suffix.lower() in (".sqlite3", ".sqlite", ".db"):
-        return None  # configured as a database: no loose-file fallback
-    path = path / f"{experiment}-{key}.json"
-    if not path.is_file():
-        return None
-    return load_result(path)
 
 
 def build_meta(

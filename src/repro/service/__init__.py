@@ -5,10 +5,10 @@ resume, the registry, the sharded exec backend) into a long-running
 daemon many clients can share:
 
 * :mod:`repro.service.store` — :class:`ResultStore`, a single sqlite
-  database (WAL mode) backing the archive instead of loose JSON files:
-  one ``results`` table keyed by ``result_key``, idempotent
-  ``put``/``get``/``query``/``stats`` plus an importer for legacy
-  ``results/`` trees.
+  database (WAL mode) that is the only resume index, for the daemon
+  and for :class:`repro.study.Study` alike: one ``results`` table keyed
+  by ``result_key``, idempotent ``put``/``get``/``query``/``stats``
+  plus an importer for legacy loose ``results/`` trees.
 * :mod:`repro.service.queue` — a bounded in-process :class:`JobQueue`
   with FIFO ordering, reject-when-full backpressure (HTTP 429
   semantics) and in-flight dedup: identical submissions coalesce onto
@@ -56,7 +56,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # api imports http.server machinery; keep `import repro.service`
-    # cheap for store-only users (results.find_result's lazy probe).
+    # cheap for store-only users (Study.run, repro list --store).
     if name == "ExperimentService":
         from repro.service.api import ExperimentService
 

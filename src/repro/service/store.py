@@ -1,13 +1,16 @@
 """``ResultStore``: the archive as one queryable sqlite database.
 
-Loose ``<experiment>-<key>.json`` files served the single-writer resume
-path well, but a service with many concurrent clients wants one store
-that (a) answers "is this cell cached?" in one indexed lookup instead
-of a filesystem probe, (b) tolerates concurrent writers, and (c) can be
-queried ("how many e7 cells do we hold?") without globbing a tree.
+The store is the only resume index: :class:`repro.study.Study` and the
+service daemon look cells up here and publish finished cells here.
+Compared with a tree of loose ``<experiment>-<key>.json`` files it
+(a) answers "is this cell cached?" in one indexed lookup, (b) tolerates
+concurrent writers, and (c) can be queried ("how many e7 cells do we
+hold?") without globbing a tree.  Loose JSON/JSONL/CSV files remain
+export formats (:func:`repro.results.save_result`, CLI ``--out``); a
+legacy loose tree enters the store once through :meth:`import_tree`
+(``repro migrate-archive DIR``).
 
-One table, keyed by the same content-hash ``result_key`` the loose
-archive used::
+One table, keyed by the content-hash ``result_key``::
 
     results(result_key PRIMARY KEY, experiment, payload, document,
             backend, jobs, wall_time_s, retries, version, created_unix)
@@ -26,9 +29,12 @@ writers racing on the same key both succeed, the loser observing the
 winner's row — and raises :class:`StoreConflictError` *naming the key*
 when an existing key holds a different payload (that would mean a
 broken determinism contract or a corrupted archive; silently replacing
-either would be worse than stopping).  SQLite transactions make a
-``put`` all-or-nothing: a SIGKILL mid-put leaves the store readable
-with the previous contents.
+either would be worse than stopping).  The one exception is a row from
+another package version: a result stamped with the running version
+replaces it, because the content hash pins a cell's inputs but not the
+code that computed it.  SQLite transactions make a ``put``
+all-or-nothing: a SIGKILL mid-put leaves the store readable with the
+previous contents.
 
 Connections are per-thread (sqlite3 connections are not thread-safe by
 default); a single :class:`ResultStore` instance may be shared freely
@@ -114,21 +120,17 @@ class ImportReport:
         )
 
 
-def locate_store(path: str | Path) -> Path | None:
-    """The store database configured at ``path``, if any.
+def locate_store(path: str | Path) -> Path:
+    """The store database that ``path`` names.
 
-    ``path`` may *be* a database (a ``.sqlite3``/``.sqlite``/``.db``
-    file path — it need not exist yet) or a directory *containing* the
-    conventional :data:`STORE_FILENAME`.  Returns ``None`` when neither
-    holds, which callers read as "use the loose-JSON archive".
+    A ``.sqlite3``/``.sqlite``/``.db`` path *is* the database; any
+    other path is a directory holding :data:`STORE_FILENAME`.  Neither
+    need exist yet: opening a :class:`ResultStore` there creates it.
     """
     path = Path(path)
     if path.suffix.lower() in _DB_SUFFIXES:
         return path
-    candidate = path / STORE_FILENAME
-    if candidate.is_file():
-        return candidate
-    return None
+    return path / STORE_FILENAME
 
 
 class ResultStore:
@@ -154,13 +156,6 @@ class ResultStore:
         # Create the schema eagerly so concurrent openers see a valid
         # database instead of racing CREATE TABLE.
         self._connection()
-
-    @classmethod
-    def for_dir(cls, out_dir: str | Path, **kwargs: Any) -> "ResultStore":
-        """The store at ``out_dir``'s conventional database path."""
-        out_dir = Path(out_dir)
-        path = locate_store(out_dir) or out_dir / STORE_FILENAME
-        return cls(path, **kwargs)
 
     # -- connection plumbing ------------------------------------------------
 
@@ -221,35 +216,53 @@ class ResultStore:
     def put(self, result: ExperimentResult) -> bool:
         """Publish a result under its content-hash key.
 
-        Returns ``True`` when the row is new, ``False`` for an
-        idempotent duplicate (identical payload already stored — the
-        common dedup case).  A *different* payload under an existing
-        key raises :class:`StoreConflictError` naming the key.
+        Returns ``True`` when the row is new or replaced, ``False`` for
+        an idempotent duplicate (identical payload already stored — the
+        common dedup case).  A result stamped with the running package
+        version replaces a row stamped with any other version: that row
+        is stale, not a conflict.  Otherwise a *different* payload
+        under an existing key raises :class:`StoreConflictError` naming
+        the key.
         """
+        from repro import __version__  # deferred: repro imports results
+
         payload = result.payload_json()
         document = json.dumps(result.to_json_dict(), sort_keys=False)
         meta = result.meta
+        row = (
+            result.experiment, payload, document, meta.backend, meta.jobs,
+            meta.wall_time_s, meta.retries, meta.version,
+            meta.created_unix or time.time(), result.key,
+        )
         conn = self._connection()
         try:
             conn.execute(
-                "INSERT INTO results (result_key, experiment, payload, "
-                "document, backend, jobs, wall_time_s, retries, version, "
-                "created_unix) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    result.key, result.experiment, payload, document,
-                    meta.backend, meta.jobs, meta.wall_time_s, meta.retries,
-                    meta.version, meta.created_unix or time.time(),
-                ),
+                "INSERT INTO results (experiment, payload, document, "
+                "backend, jobs, wall_time_s, retries, version, "
+                "created_unix, result_key) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                row,
             )
             return True
         except sqlite3.IntegrityError:
-            existing = conn.execute(
-                "SELECT payload FROM results WHERE result_key = ?",
-                (result.key,),
-            ).fetchone()
-            if existing is not None and existing["payload"] == payload:
-                return False
-            raise StoreConflictError(result.key, result.experiment) from None
+            pass
+        if meta.version == __version__:
+            replaced = conn.execute(
+                "UPDATE results SET experiment = ?, payload = ?, "
+                "document = ?, backend = ?, jobs = ?, wall_time_s = ?, "
+                "retries = ?, version = ?, created_unix = ? "
+                "WHERE result_key = ? AND version IS NOT ?",
+                row + (__version__,),
+            )
+            if replaced.rowcount:
+                return True
+        existing = conn.execute(
+            "SELECT payload FROM results WHERE result_key = ?",
+            (result.key,),
+        ).fetchone()
+        if existing is not None and existing["payload"] == payload:
+            return False
+        raise StoreConflictError(result.key, result.experiment)
 
     def get(self, key: str) -> ExperimentResult | None:
         """The stored result under ``key``, or ``None``."""
@@ -352,32 +365,3 @@ class ResultStore:
             except StoreConflictError:
                 report.conflicts += 1
         return report
-
-
-def store_result(
-    out_dir: str | Path, result: ExperimentResult
-) -> Path | None:
-    """Publish ``result`` to the store configured at ``out_dir``, if any.
-
-    The store-aware twin of :func:`repro.results.save_result`: returns
-    the database path on a store write (idempotent duplicates
-    included), or ``None`` when no store is configured — the caller
-    then falls back to the loose-JSON archive.
-    """
-    db = locate_store(out_dir)
-    if db is None:
-        return None
-    with ResultStore(db) as store:
-        store.put(result)
-    return db
-
-
-def find_stored(
-    out_dir: str | Path, key: str
-) -> ExperimentResult | None:
-    """Look a key up in the store configured at ``out_dir``, if any."""
-    db = locate_store(out_dir)
-    if db is None or not db.is_file():
-        return None
-    with ResultStore(db) as store:
-        return store.get(key)

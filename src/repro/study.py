@@ -13,24 +13,24 @@ Determinism and resume
   a stable hash (:func:`derive_cell_seed`): re-running the same study
   reproduces every cell bit-for-bit, while distinct cells draw
   independent seed spines.
-* **Skip-completed cells** — with an output directory, each finished
-  cell is saved under its content-hash key
-  (:func:`repro.results.save_result`); a re-run loads those files
-  instead of recomputing (``cached=True`` on the cell), so interrupted
-  sweeps resume where they stopped and finished grids re-slice for
-  free.
+* **Skip-completed cells** — with an ``out_dir``, each finished cell is
+  published to a :class:`repro.service.store.ResultStore` under its
+  content-hash key; a re-run loads those rows instead of recomputing
+  (``cached=True`` on the cell), so interrupted sweeps resume where
+  they stopped and finished grids re-slice for free.  The store is the
+  only resume index: loose ``<experiment>-<key>.json`` files are never
+  read back (import a legacy tree once with ``repro migrate-archive``).
 
 Crash safety (DESIGN.md §10)
 ----------------------------
-A study run with an output directory is kill-safe: every cell archive
-and the final manifest publish atomically (temp file + rename), and a
-:class:`StudyJournal` — an append-only JSONL checkpoint next to the
-archives — records each completed cell as it finishes.  Resuming after
-a SIGKILL re-runs exactly the incomplete cells: complete archives load
-as ``cached``, a half-written or corrupt archive is *quarantined*
-(renamed to ``<name>.corrupt``) and its cell recomputed, and a torn
-trailing journal line (the crash moment itself) is ignored by the
-tolerant reader.
+A study run with an output directory is kill-safe: each cell's store
+row commits in one sqlite transaction, so a SIGKILL leaves every
+finished cell readable and no half-written one, and resuming re-runs
+exactly the cells without a row.  The final manifest publishes
+atomically (temp file + rename).  A :class:`StudyJournal` — an
+append-only JSONL log next to the store — narrates the run, one line
+per completed cell; a torn trailing line (the crash moment itself) is
+ignored by the tolerant reader.
 
 Example::
 
@@ -48,7 +48,6 @@ import hashlib
 import itertools
 import json
 import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -62,10 +61,7 @@ from repro.results import (
     ExperimentResult,
     atomic_write_text,
     canonical_json,
-    load_result,
     result_key,
-    result_path,
-    save_result,
 )
 
 __all__ = [
@@ -91,31 +87,25 @@ def derive_cell_seed(study_seed: int, assignment: Mapping[str, Any]) -> int:
 
 @dataclass(frozen=True)
 class StudyCell:
-    """One grid cell: its assignment, options, resume key and result.
-
-    ``recovered`` marks a cell whose cached archive was corrupt on
-    resume: the file was quarantined to ``<name>.corrupt`` and the
-    cell recomputed from its deterministic seed.
-    """
+    """One grid cell: its assignment, options, resume key and result."""
 
     assignment: Mapping[str, Any]
     options: Any
     key: str
     result: ExperimentResult | None = None
     cached: bool = False
-    recovered: bool = False
 
 
 class StudyJournal:
-    """An append-only JSONL checkpoint of one study's progress.
+    """An append-only JSONL log of one study's progress.
 
     Each line is a self-contained event (``study`` header, one ``cell``
-    line per completed cell, ``quarantine`` for corrupt archives, a
-    final ``end``).  Appends are flushed and fsynced line-by-line, so
-    the journal is current up to the crash instant; the reader skips a
-    torn trailing line instead of raising.  The journal is the study's
-    recovery record — cell archives remain the source of truth for
-    result bytes, keyed by content hash.
+    line per completed cell, a final ``end``).  Appends are flushed and
+    fsynced line-by-line, so the journal is current up to the crash
+    instant; the reader skips a torn trailing line instead of raising.
+    The journal only narrates: resume reads the
+    :class:`~repro.service.store.ResultStore`, which holds the result
+    bytes keyed by content hash.
     """
 
     def __init__(self, path: str | Path):
@@ -166,8 +156,8 @@ class StudyJournal:
         only be an append torn by a crash — usually the trailing line,
         but after a resume (which heals onto a fresh line and keeps
         appending) a tear survives mid-file.  Either way the recovery
-        story is the same: the cell archives are the source of truth,
-        the journal only narrates, so a torn narration line is dropped
+        story is the same: the store is the source of truth, the
+        journal only narrates, so a torn narration line is dropped
         rather than raised on.
         """
         if not self.path.is_file():
@@ -182,28 +172,13 @@ class StudyJournal:
                 continue
         return out
 
-    def done_keys(self) -> set[str]:
-        """Resume keys of cells the journal records as completed."""
-        return {
-            e["key"] for e in self.events()
-            if e.get("event") == "cell" and e.get("status") == "done"
-        }
-
-    def reset(self) -> None:
-        self.path.unlink(missing_ok=True)
-
 
 @dataclass(frozen=True)
 class StudyResult:
-    """The outcome of :meth:`Study.run`: every cell, in grid order.
-
-    ``quarantined`` lists the resume keys whose cached archives were
-    corrupt and had to be recomputed.
-    """
+    """The outcome of :meth:`Study.run`: every cell, in grid order."""
 
     experiment: str
     cells: tuple[StudyCell, ...]
-    quarantined: tuple[str, ...] = ()
 
     def results(self) -> list[ExperimentResult]:
         return [c.result for c in self.cells if c.result is not None]
@@ -228,13 +203,11 @@ class StudyResult:
         """A JSON-ready index of the sweep (cell keys + cache hits)."""
         return {
             "experiment": self.experiment,
-            "quarantined": list(self.quarantined),
             "cells": [
                 {
                     "assignment": dict(c.assignment),
                     "key": c.key,
                     "cached": c.cached,
-                    "recovered": c.recovered,
                 }
                 for c in self.cells
             ],
@@ -326,21 +299,22 @@ class Study:
         self,
         out_dir: str | Path | None = None,
         *,
-        resume: bool = True,
-        save: bool = True,
         jobs: int | None = None,
         progress: Callable[[StudyCell], None] | None = None,
     ) -> StudyResult:
         """Run (or resume) every cell of the grid, in order.
 
-        With ``out_dir``: previously saved cells load instead of running
-        (unless ``resume=False``), and fresh cells save on completion
-        (unless ``save=False``).  A saved cell is only reused when its
-        recorded package version matches the running one — the content
-        hash pins the *inputs*, the version gate pins the *code* — so a
-        sweep resumed after an upgrade recomputes rather than silently
-        mixing results from two implementations.  ``progress`` is
-        called with each finished :class:`StudyCell`.
+        Without ``out_dir`` every cell computes in memory.  With it,
+        cells load from and publish to a
+        :class:`~repro.service.store.ResultStore`: a ``.sqlite3``/
+        ``.sqlite``/``.db`` path is the database, and any other path is
+        a directory holding ``repro-store.sqlite3``, created on first
+        use.  A stored cell is only reused when its recorded package
+        version matches the running one — the content hash pins the
+        *inputs*, the version gate pins the *code* — so a sweep resumed
+        after an upgrade recomputes (and its rows are replaced) rather
+        than silently mixing results from two implementations.
+        ``progress`` is called with each finished :class:`StudyCell`.
 
         ``jobs`` parallelises the sweep's cells from the inside: each
         cell runs with that many plan-backend workers (injected into
@@ -350,51 +324,31 @@ class Study:
         cells stay sequential, so an interrupted sweep still resumes at
         a clean cell boundary.
 
-        With ``out_dir`` the run is kill-safe: archives and the final
-        ``<experiment>-study.manifest.json`` publish atomically, a
-        :class:`StudyJournal` checkpoints each completed cell, and a
-        cached archive that fails to load (truncated or corrupt JSON)
-        is quarantined to ``<name>.corrupt`` and its cell recomputed —
-        byte-identically, thanks to deterministic per-cell seeds —
-        instead of crashing the sweep.  On successful completion the
-        journal is folded into the manifest (a ``journal`` summary
-        block) and truncated, so repeatedly-resumed studies never
-        replay an unbounded event log.
-
-        ``out_dir`` may also be — or contain — a
-        :class:`repro.service.store.ResultStore` database (a
-        ``.sqlite3`` path, or a directory holding
-        ``repro-store.sqlite3``): cells then load from and save to the
-        store instead of loose JSON files, with the loose path kept as
-        a read fallback for mixed archives.
+        With ``out_dir`` the run is kill-safe: each cell commits in one
+        store transaction, the final ``<experiment>-study.manifest.json``
+        publishes atomically next to the database, and a
+        :class:`StudyJournal` narrates each completed cell.  On
+        successful completion the journal is folded into the manifest
+        (a ``journal`` summary block) and truncated, so
+        repeatedly-resumed studies never replay an unbounded event log.
         """
         from repro import __version__
         from repro.service.store import ResultStore, locate_store
-
-        done: list[StudyCell] = []
         from repro.workloads import active_cache, cache_stats
 
+        done: list[StudyCell] = []
         wl_cache = active_cache()
         wl_before = cache_stats().as_dict() if wl_cache is not None else None
-        quarantined: list[str] = []
         jobs_field = (
             jobs is not None
             and any(f.name == "jobs" for f in self.spec.option_fields())
         )
-        journal = None
         store: ResultStore | None = None
-        archive_dir: Path | None = None
+        journal: StudyJournal | None = None
         if out_dir is not None:
-            db = locate_store(out_dir)
-            if db is not None:
-                store = ResultStore(db)
-                archive_dir = db.parent
-            else:
-                archive_dir = Path(out_dir)
-            archive_dir.mkdir(parents=True, exist_ok=True)
-            journal = StudyJournal.for_study(archive_dir, self.spec.name)
-            if not resume:
-                journal.reset()
+            store = ResultStore(locate_store(out_dir))
+            journal = StudyJournal.for_study(store.path.parent,
+                                             self.spec.name)
             journal.append({
                 "event": "study",
                 "experiment": self.spec.name,
@@ -405,55 +359,42 @@ class Study:
             })
         try:
             for cell in self.cells():
-                result, cached, recovered = None, False, False
-                if out_dir is not None and resume:
-                    result, recovered = self._load_cached(
-                        archive_dir, store, cell, journal, quarantined
-                    )
-                    if result is not None and \
-                            result.meta.version != __version__:
-                        result = None
-                    cached = result is not None
+                result = store.get(cell.key) if store is not None else None
+                if result is not None and \
+                        result.meta.version != __version__:
+                    result = None
+                cached = result is not None
                 if result is None:
                     run_opts = cell.options
                     if jobs_field:
                         run_opts = dataclasses.replace(run_opts, jobs=jobs)
                     result = self.spec.run(run_opts)
-                    if out_dir is not None and save:
-                        if store is not None:
-                            store.put(result)
-                        else:
-                            save_result(result, out_dir)
+                    if store is not None:
+                        store.put(result)
                 if journal is not None:
                     journal.append({
                         "event": "cell",
                         "key": cell.key,
                         "status": "done",
                         "cached": cached,
-                        "recovered": recovered,
                     })
                 cell = dataclasses.replace(cell, result=result,
-                                           cached=cached,
-                                           recovered=recovered)
+                                           cached=cached)
                 done.append(cell)
                 if progress is not None:
                     progress(cell)
             study_result = StudyResult(
                 experiment=self.spec.name, cells=tuple(done),
-                quarantined=tuple(quarantined),
             )
-            if out_dir is not None and save:
+            if store is not None and journal is not None:
                 manifest = study_result.manifest()
-                if store is not None:
-                    manifest["store"] = str(store.path)
-                if journal is not None:
-                    manifest["journal"] = journal_summary = {
-                        "cells_done": len(done),
-                        "cached": sum(1 for c in done if c.cached),
-                        "quarantined": len(quarantined),
-                        "events": len(journal.events()) + 1,  # incl. end
-                        "compacted": True,
-                    }
+                manifest["store"] = str(store.path)
+                manifest["journal"] = journal_summary = {
+                    "cells_done": len(done),
+                    "cached": sum(1 for c in done if c.cached),
+                    "events": len(journal.events()) + 1,  # incl. end
+                    "compacted": True,
+                }
                 if wl_cache is not None:
                     wl_after = cache_stats().as_dict()
                     manifest["workload_cache"] = {
@@ -462,62 +403,15 @@ class Study:
                            for k in wl_after},
                     }
                 atomic_write_text(
-                    archive_dir /
+                    store.path.parent /
                     f"{self.spec.name}-study.manifest.json",
                     json.dumps(manifest, indent=2) + "\n",
                 )
-            if journal is not None:
                 journal.append({"event": "end"})
-                if save:
-                    # The manifest now carries the summary; fold the
-                    # event log down to a single compacted marker.
-                    journal.compact(journal_summary)
+                # The manifest now carries the summary; fold the event
+                # log down to a single compacted marker.
+                journal.compact(journal_summary)
         finally:
             if store is not None:
                 store.close()
         return study_result
-
-    def _load_cached(
-        self,
-        out_dir: str | Path,
-        store: Any,
-        cell: StudyCell,
-        journal: StudyJournal | None,
-        quarantined: list[str],
-    ) -> tuple[ExperimentResult | None, bool]:
-        """Load one cell's cached archive, quarantining corruption.
-
-        Returns ``(result, recovered)``: ``result`` is ``None`` when
-        the cell must (re)compute, and ``recovered`` is True when a
-        corrupt archive was moved aside to ``<name>.corrupt`` — the
-        half-written leftovers of a kill mid-write (or a bad disk)
-        must cost one recompute, never the whole sweep.  A configured
-        :class:`~repro.service.store.ResultStore` answers first
-        (transactional writes make its rows all-or-nothing — no
-        quarantine path needed); loose files remain a read fallback.
-        """
-        if store is not None:
-            result = store.get(cell.key)
-            if result is not None:
-                return result, False
-        path = result_path(out_dir, self.spec.name, options_dict(cell.options))
-        if not path.is_file():
-            return None, False
-        try:
-            return load_result(path), False
-        except (ValueError, KeyError, TypeError) as exc:
-            quarantine = path.with_name(path.name + ".corrupt")
-            path.replace(quarantine)
-            print(
-                f"warning: quarantined corrupt cached result {path.name} "
-                f"-> {quarantine.name} ({exc}); re-running cell",
-                file=sys.stderr,
-            )
-            quarantined.append(cell.key)
-            if journal is not None:
-                journal.append({
-                    "event": "quarantine",
-                    "key": cell.key,
-                    "file": path.name,
-                })
-            return None, True

@@ -550,11 +550,10 @@ def _encode_workload(wl: ScenarioWorkload) -> dict[str, np.ndarray]:
 def _chaos_tear_artifact(path: Path) -> None:
     """Fault injection: tear a just-published artifact's manifest.
 
-    Mirrors :func:`repro.results._chaos_tear` — active only inside
-    chaos blocks, keyed on the artifact directory name, and exercises
-    the quarantine-and-resample path end to end.
+    Active only inside chaos blocks, keyed on the artifact directory
+    name, and exercises the quarantine-and-resample path end to end.
     """
-    from repro.exec import chaos  # deferred, matching results.py
+    from repro.exec import chaos  # deferred: only chaos runs need it
 
     cfg = chaos.active_config()
     if cfg is not None and cfg.truncates(path.name):

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
 
 from golden_opts import GOLDEN_OPTS
+from repro import __version__
+from repro.cli import main as cli_main
 from repro.experiments.registry import (
     experiment_names,
     get_experiment,
@@ -37,6 +40,7 @@ from repro.results import (
     write_csv,
     write_jsonl,
 )
+from repro.service.store import STORE_FILENAME, ResultStore
 from repro.study import Study, derive_cell_seed
 from repro.util.tables import Table
 
@@ -208,14 +212,15 @@ class TestStudy:
         assert [c.options.seed for c in study.cells()] == [1, 2]
 
     def test_run_and_resume(self, tmp_path):
+        """A plain directory holds the store; no loose cells appear."""
         study = Study("e1", {"sizes": [(16,), (24,)]},
                       workloads=("balanced",), trials=4,
                       seed=5)
         first = study.run(out_dir=tmp_path)
         assert [c.cached for c in first.cells] == [False, False]
-        archives = [p for p in tmp_path.glob("e1-*.json")
+        assert (tmp_path / STORE_FILENAME).is_file()
+        assert not [p for p in tmp_path.glob("e1-*.json")
                     if "study" not in p.name]
-        assert len(archives) == 2
         assert (tmp_path / "e1-study.manifest.json").is_file()
 
         second = study.run(out_dir=tmp_path)
@@ -223,20 +228,66 @@ class TestStudy:
         assert [c.result.canonical() for c in first.cells] == \
             [c.result.canonical() for c in second.cells]
 
-    def test_resume_recomputes_other_version_cells(self, tmp_path):
+    def test_loose_json_is_export_only(self, tmp_path, capsys):
+        """A loose cell file is not a resume index until migrated."""
         study = Study("e1", {"sizes": [(16,)]}, workloads=("balanced",),
                       trials=4, seed=5)
-        study.run(out_dir=tmp_path)
-        # Forge a version bump in the saved cell: the content-hash key
-        # still matches, but the version gate must force a recompute.
-        path = next(p for p in tmp_path.glob("e1-*.json")
-                    if "study" not in p.name)
-        doc = json.loads(path.read_text())
-        doc["meta"]["version"] = "0.0.0"
-        path.write_text(json.dumps(doc))
-        rerun = study.run(out_dir=tmp_path)
+        (cell,) = study.cells()
+        save_result(study.run().results()[0], tmp_path)
+        assert (tmp_path / f"e1-{cell.key}.json").is_file()
+        # A fresh store: the loose file beside it is not read.
+        assert [c.cached for c in study.run(out_dir=tmp_path).cells] == \
+            [False]
+        (tmp_path / STORE_FILENAME).unlink()
+        assert cli_main(["migrate-archive", str(tmp_path)]) == 0
+        assert "imported=1" in capsys.readouterr().out
+        assert [c.cached for c in study.run(out_dir=tmp_path).cells] == \
+            [True]
+
+    @staticmethod
+    def _forge_old_version(db: Path, key: str, *, tamper: bool) -> None:
+        """Restamp a stored row as computed by another release."""
+        with sqlite3.connect(db) as conn:
+            (text,) = conn.execute(
+                "SELECT document FROM results WHERE result_key = ?", (key,)
+            ).fetchone()
+            doc = json.loads(text)
+            doc["meta"]["version"] = "0.0.0"
+            if tamper:  # the old release computed different numbers
+                row = doc["sections"][0]["rows"][0]
+                row[-1] = -999.0
+            payload = ExperimentResult.from_json_dict(doc).payload_json()
+            conn.execute(
+                "UPDATE results SET version = ?, document = ?, payload = ? "
+                "WHERE result_key = ?",
+                ("0.0.0", json.dumps(doc), payload, key),
+            )
+        conn.close()
+
+    def _assert_other_version_recomputed(self, tmp_path, tamper: bool):
+        study = Study("e1", {"sizes": [(16,)]}, workloads=("balanced",),
+                      trials=4, seed=5)
+        db = tmp_path / "s.sqlite3"
+        first = study.run(out_dir=db)
+        key = first.cells[0].key
+        # The content-hash key still matches, but the version gate must
+        # force a recompute, and the recomputed row must replace the
+        # stale one so the next run is cached again.
+        self._forge_old_version(db, key, tamper=tamper)
+        rerun = study.run(out_dir=db)
         assert [c.cached for c in rerun.cells] == [False]
-        assert json.loads(path.read_text())["meta"]["version"] != "0.0.0"
+        with ResultStore(db) as store:
+            assert store.get(key).meta.version == __version__
+            assert store.get(key).payload_json() == \
+                first.cells[0].result.payload_json()
+        third = study.run(out_dir=db)
+        assert [c.cached for c in third.cells] == [True]
+
+    def test_resume_recomputes_other_version_cells(self, tmp_path):
+        self._assert_other_version_recomputed(tmp_path, tamper=False)
+
+    def test_resume_replaces_other_version_payload(self, tmp_path):
+        self._assert_other_version_recomputed(tmp_path, tamper=True)
 
     def test_records_merge_assignment(self, tmp_path):
         study = Study("e1", {"sizes": [(16,)]}, workloads=("balanced",),

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import pytest
 
 from golden_opts import GOLDEN_OPTS
+from repro import __version__
+from repro.cli import main as cli_main
 from repro.experiments.registry import (
     _REGISTRY,
     experiment,
@@ -138,10 +140,11 @@ class TestResultStore:
             assert store.put(result) is False  # identical payload: no-op
             assert store.stats()["results"] == 1
 
-    def test_conflicting_payload_raises_naming_key(self, tmp_path):
-        result = tiny_e1()
+    @staticmethod
+    def _tampered(result):
+        """``result`` with one table value changed: same key, new payload."""
         rows = result.sections[0].rows
-        tampered = dataclasses.replace(
+        return dataclasses.replace(
             result,
             sections=(
                 dataclasses.replace(
@@ -151,6 +154,10 @@ class TestResultStore:
                 ),
             ) + result.sections[1:],
         )
+
+    def test_conflicting_payload_raises_naming_key(self, tmp_path):
+        result = tiny_e1()
+        tampered = self._tampered(result)
         assert tampered.key == result.key  # same options, same identity
         with ResultStore(tmp_path / "s.sqlite3") as store:
             store.put(result)
@@ -175,12 +182,48 @@ class TestResultStore:
             assert store.query("e9") == []
             assert set(store.keys()) == {a.key, b.key}
 
+    def test_current_version_replaces_other_version_row(self, tmp_path):
+        result = tiny_e1()
+        old = dataclasses.replace(
+            result, meta=dataclasses.replace(result.meta, version="0.0.0"))
+        with ResultStore(tmp_path / "s.sqlite3") as store:
+            assert store.put(self._tampered(old)) is True
+            # A row from another release is stale, not a conflict.
+            assert store.put(result) is True
+            assert store.get(result.key).payload_json() \
+                == result.payload_json()
+            assert store.get(result.key).meta.version == __version__
+            assert store.put(result) is False
+            # Old-version documents never displace a current row: an
+            # identical payload is a duplicate, a different one a
+            # conflict, exactly as for same-version writers.
+            save_result(old, tmp_path / "loose")
+            report = store.import_tree(tmp_path / "loose")
+            assert (report.skipped, report.conflicts) == (1, 0)
+            with pytest.raises(StoreConflictError):
+                store.put(self._tampered(old))
+            assert store.get(result.key).meta.version == __version__
+            assert store.stats()["results"] == 1
+
     def test_locate_store(self, tmp_path):
         db = tmp_path / "x.sqlite3"
         assert locate_store(db) == db  # a DB path, even before creation
-        assert locate_store(tmp_path) is None  # dir without a store
-        (tmp_path / STORE_FILENAME).touch()
+        # Any other path is a directory holding the store, which is
+        # created on first use rather than probed for.
         assert locate_store(tmp_path) == tmp_path / STORE_FILENAME
+        assert not (tmp_path / STORE_FILENAME).exists()
+
+    def test_list_store_on_dir_without_store_creates_nothing(
+            self, tmp_path, capsys):
+        assert cli_main(["list", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr()
+        assert "store:" not in out.out and "cached]" not in out.out
+        assert "no result store" in out.err
+        assert list(tmp_path.iterdir()) == []
+        with ResultStore(locate_store(tmp_path)) as store:
+            store.put(tiny_e1())
+        assert cli_main(["list", "--json", "--store", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["store"]["results"] == 1
 
     def test_import_tree(self, tmp_path):
         tree = tmp_path / "loose"
